@@ -10,14 +10,13 @@
 //
 // Experiments: table1, table2, fig7, fig9, fig10, fig11, fig12, fig13,
 // thinbody, ordering, parmis, amg, phases, headline, ablations,
-// blockbench, obsbench, parbench, mixedbench, mfbench, servebench,
-// serveobs, all.
+// blockbench, obsbench, parbench, mixedbench, servebench, serveobs,
+// all.
 // -csv additionally writes the scaled series as CSV for plotting.
 // -json writes a kernel study as JSON to the given path: the obsbench
 // observability report when -exp obsbench, the parbench real-core
 // speedup study when -exp parbench, the mixedbench mixed-precision
-// coarse-level study when -exp mixedbench, the mfbench matrix-free
-// storage-mode study when -exp mfbench, the servebench
+// coarse-level study when -exp mixedbench, the servebench
 // solver-as-a-service study when -exp servebench, the request-scoped
 // observability overhead study when -exp serveobs, otherwise the
 // blockbench CSR-vs-BSR study (schemas in EXPERIMENTS.md).
@@ -63,7 +62,6 @@ func main() {
 	var obsRep *experiments.ObsBenchReport
 	var parRep *experiments.ParBenchReport
 	var mixedRep *experiments.MixedBenchReport
-	var mfRep *experiments.MFBenchReport
 	var serveRep *servebench.Report
 	var serveObsRep *servebench.ObsReport
 	needSeries := func() error {
@@ -152,14 +150,6 @@ func main() {
 			mixedRep = rep
 			experiments.MixedBenchTable(w, rep)
 			return nil
-		case "mfbench":
-			rep, err := experiments.MFBench()
-			if err != nil {
-				return err
-			}
-			mfRep = rep
-			experiments.MFBenchTable(w, rep)
-			return nil
 		case "servebench":
 			rep, err := servebench.Run()
 			if err != nil {
@@ -202,9 +192,9 @@ func main() {
 	names := []string{*exp}
 	if *exp == "all" {
 		names = []string{"table1", "fig9", "fig7", "table2", "fig10", "fig11",
-			"fig12", "headline", "fig13", "thinbody", "ordering", "parmis", "amg", "phases", "ablations", "blockbench", "obsbench", "parbench", "mixedbench", "mfbench", "servebench", "serveobs"}
+			"fig12", "headline", "fig13", "thinbody", "ordering", "parmis", "amg", "phases", "ablations", "blockbench", "obsbench", "parbench", "mixedbench", "servebench", "serveobs"}
 	}
-	if *jsonPath != "" && *exp != "blockbench" && *exp != "obsbench" && *exp != "parbench" && *exp != "mixedbench" && *exp != "mfbench" && *exp != "servebench" && *exp != "serveobs" && *exp != "all" {
+	if *jsonPath != "" && *exp != "blockbench" && *exp != "obsbench" && *exp != "parbench" && *exp != "mixedbench" && *exp != "servebench" && *exp != "serveobs" && *exp != "all" {
 		names = append(names, "blockbench")
 	}
 	for i, name := range names {
@@ -249,8 +239,6 @@ func main() {
 			err = experiments.WriteParBenchJSON(f, parRep)
 		case *exp == "mixedbench":
 			err = experiments.WriteMixedBenchJSON(f, mixedRep)
-		case *exp == "mfbench":
-			err = experiments.WriteMFBenchJSON(f, mfRep)
 		case *exp == "servebench":
 			err = servebench.WriteJSON(f, serveRep)
 		case *exp == "serveobs":

@@ -43,12 +43,6 @@ type Owners struct {
 type ownClaim struct {
 	y      []float64
 	lo, hi int
-	// idx, when non-nil, makes this a set claim: the worker owns exactly
-	// the listed indices of y instead of a contiguous range. Set claims
-	// are how colored element scatters (disjoint but non-contiguous write
-	// sets) register with the sanitizer. The slice is retained, not
-	// copied — callers pass precomputed immutable write sets.
-	idx    []int32
 	active bool
 	stack  []byte // filled at claim time; preallocated by Init
 	stackN int
@@ -100,35 +94,6 @@ func (o *Owners) Claim(w int, y []float64, lo, hi int) {
 	c := &o.claims[w]
 	c.y = y
 	c.lo, c.hi = lo, hi
-	c.idx = nil
-	c.stackN = runtime.Stack(c.stack, false)
-	c.active = true
-	o.collide(w)
-}
-
-// ClaimIndices records that worker w is about to write exactly the listed
-// indices of y (a set claim — the colored-scatter counterpart of Claim).
-// It panics if any listed index lies inside another worker's active range
-// claim, or is shared with another worker's active set claim, on the same
-// backing array. The index slice is retained until Release; callers pass
-// precomputed immutable write sets, never per-call temporaries they
-// mutate.
-func (o *Owners) ClaimIndices(w int, y []float64, idx []int32) {
-	if !o.on.Load() {
-		return
-	}
-	if len(idx) == 0 {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if w < 0 || w >= len(o.claims) {
-		panic(fmt.Sprintf("check: Owners.ClaimIndices worker %d out of range [0,%d)", w, len(o.claims)))
-	}
-	c := &o.claims[w]
-	c.y = y
-	c.lo, c.hi = 0, 0
-	c.idx = idx
 	c.stackN = runtime.Stack(c.stack, false)
 	c.active = true
 	o.collide(w)
@@ -145,70 +110,22 @@ func (o *Owners) collide(w int) {
 		d := &o.claims[v]
 		if claimsOverlap(c, d) {
 			panic(fmt.Sprintf(
-				"check: cross-worker write overlap: worker %d claims %s overlapping worker %d's %s\n\n-- worker %d stack --\n%s\n-- worker %d stack --\n%s",
-				w, claimDesc(c), v, claimDesc(d),
+				"check: cross-worker write overlap: worker %d claims [%d,%d) overlapping worker %d's [%d,%d)\n\n-- worker %d stack --\n%s\n-- worker %d stack --\n%s",
+				w, c.lo, c.hi, v, d.lo, d.hi,
 				w, c.stack[:c.stackN], v, d.stack[:d.stackN]))
 		}
 	}
 }
 
-// claimDesc formats a claim for the overlap panic.
-func claimDesc(c *ownClaim) string {
-	if c.idx != nil {
-		return fmt.Sprintf("%d indices %v…", len(c.idx), c.idx[:min(len(c.idx), 8)])
-	}
-	return fmt.Sprintf("[%d,%d)", c.lo, c.hi)
-}
-
 // claimsOverlap reports whether two active claims cover a common element
-// of the same backing array: the claimed coordinates intersect and, at a
-// common index, both slice headers address the same element. Set claims
-// compare index by index (write sets are element-sized, so the quadratic
-// set-set comparison stays cheap).
+// of the same backing array: the index ranges intersect and, at a common
+// index, both slice headers address the same element.
 func claimsOverlap(a, b *ownClaim) bool {
-	switch {
-	case a.idx == nil && b.idx == nil:
-		if a.lo >= b.hi || b.lo >= a.hi {
-			return false
-		}
-		m := a.lo
-		if b.lo > m {
-			m = b.lo
-		}
-		return &a.y[m] == &b.y[m]
-	case a.idx != nil && b.idx == nil:
-		return setRangeOverlap(a, b)
-	case a.idx == nil:
-		return setRangeOverlap(b, a)
-	default:
-		for _, i := range a.idx {
-			ii := int(i)
-			if ii < 0 || ii >= len(a.y) {
-				continue
-			}
-			for _, j := range b.idx {
-				if i == j && &a.y[ii] == &b.y[ii] {
-					return true
-				}
-			}
-		}
+	if a.lo >= b.hi || b.lo >= a.hi {
 		return false
 	}
-}
-
-// setRangeOverlap reports whether set claim s shares an element with
-// range claim r on the same backing array.
-func setRangeOverlap(s, r *ownClaim) bool {
-	for _, i := range s.idx {
-		ii := int(i)
-		if ii < r.lo || ii >= r.hi || ii >= len(s.y) {
-			continue
-		}
-		if &s.y[ii] == &r.y[ii] {
-			return true
-		}
-	}
-	return false
+	m := max(a.lo, b.lo)
+	return &a.y[m] == &b.y[m]
 }
 
 // Release clears worker w's active claim.
@@ -220,7 +137,6 @@ func (o *Owners) Release(w int) {
 	if w >= 0 && w < len(o.claims) {
 		o.claims[w].active = false
 		o.claims[w].y = nil
-		o.claims[w].idx = nil
 	}
 	o.mu.Unlock()
 }

@@ -20,8 +20,5 @@ func (o *Owners) Disable() {}
 // Claim is a no-op in release builds.
 func (o *Owners) Claim(w int, y []float64, lo, hi int) {}
 
-// ClaimIndices is a no-op in release builds.
-func (o *Owners) ClaimIndices(w int, y []float64, idx []int32) {}
-
 // Release is a no-op in release builds.
 func (o *Owners) Release(w int) {}

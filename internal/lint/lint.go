@@ -86,8 +86,9 @@
 //     storage types (*sparse.CSR, *sparse.BSR and their f32 variants)
 //     are confined to the storage seam (internal/sparse and
 //     internal/multigrid) — everywhere else must use the sparse
-//     capability interfaces or the sanctioned TryCSR/AutoBlockOp
-//     helpers, so the matrix-free operator flows through every layer.
+//     capability interfaces or the sanctioned AsCSR/TryCSR/AutoBlockOp
+//     helpers, so every level storage (CSR, BSR and their f32 coarse
+//     variants) flows through every layer.
 //
 // A finding can be suppressed in place with a directive comment on the
 // same line or the line above:

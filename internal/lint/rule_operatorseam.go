@@ -7,16 +7,15 @@ import (
 )
 
 // OperatorSeam confines concrete storage knowledge to the storage seam.
-// With the matrix-free mode, a solver-stack level operator may be an
-// assembled *sparse.CSR/BSR (or their f32 variants) or an
-// element-by-element operator with no stored entries at all; code that
-// type-asserts or type-switches on the concrete matrix types silently
-// excludes the matrix-free path (or panics on it). Outside the seam —
-// the sparse package itself and the multigrid level plumbing, which by
-// design choose per-level storage — consumers must program against the
-// sparse capability interfaces (RowScanner, BlockDiagonaler, Sweeper,
-// GalerkinAssembler, ...) or go through the sanctioned sparse.TryCSR /
-// sparse.AutoBlockOp helpers.
+// A solver-stack level operator may be *sparse.CSR, *sparse.BSR or one
+// of their f32 coarse variants, and which one is a per-level multigrid
+// decision; code that type-asserts or type-switches on one concrete
+// matrix type silently excludes the others (or panics on them). Outside
+// the seam — the sparse package itself and the multigrid level
+// plumbing, which by design choose per-level storage — consumers must
+// program against the Operator interface and the sparse capability
+// interfaces (BlockDiagonaler, Sweeper) or go through the sanctioned
+// sparse.AsCSR / sparse.TryCSR / sparse.AutoBlockOp helpers.
 type OperatorSeam struct {
 	// SparsePath is the import path of the sparse package (default
 	// prometheus/internal/sparse; fixtures override it).
@@ -59,7 +58,7 @@ func (r OperatorSeam) Check(pkg *Package) []Issue {
 				}
 				if name := r.storageType(pkg, spath, x.Type); name != "" {
 					out = append(out, issue(pkg, x, r.Name(), Error,
-						"type assertion on concrete storage type *sparse.%s outside the storage seam; use a sparse capability interface or sparse.TryCSR", name))
+						"type assertion on concrete storage type *sparse.%s outside the storage seam; use sparse.Operator, a sparse capability interface or sparse.AsCSR/TryCSR", name))
 				}
 			case *ast.TypeSwitchStmt:
 				for _, c := range x.Body.List {
@@ -70,7 +69,7 @@ func (r OperatorSeam) Check(pkg *Package) []Issue {
 					for _, te := range cc.List {
 						if name := r.storageType(pkg, spath, te); name != "" {
 							out = append(out, issue(pkg, te, r.Name(), Error,
-								"type switch case on concrete storage type *sparse.%s outside the storage seam; use a sparse capability interface or sparse.TryCSR", name))
+								"type switch case on concrete storage type *sparse.%s outside the storage seam; use sparse.Operator, a sparse capability interface or sparse.AsCSR/TryCSR", name))
 						}
 					}
 				}

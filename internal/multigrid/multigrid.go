@@ -59,15 +59,6 @@ const (
 	// StorageBSR blocks the fine operator (3x3 node blocks) when its
 	// dimensions and sparsity allow, then follows the BSR pipeline.
 	StorageBSR
-	// StorageMatrixFree keeps the fine operator matrix-free: level 0 is the
-	// caller's assembly-free operator (fem.EBEOperator) applied element by
-	// element, and the first coarse operator is assembled directly from
-	// element contributions through the sparse.GalerkinAssembler
-	// capability, so no fine-grid matrix ever exists. Coarse levels are
-	// assembled Galerkin CSR exactly as in the scalar pipeline (and narrow
-	// under PrecisionMixedF32 as usual). Row-traversal smoothers fall back
-	// to Chebyshev on the matrix-free level.
-	StorageMatrixFree
 )
 
 // PrecisionKind selects the per-level value precision of the hierarchy.
@@ -335,7 +326,18 @@ func New(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, 
 	return mg, err
 }
 
+// ErrUnassembledOperator is returned by New when the fine operator is
+// none of the assembled sparse storages (CSR, BSR, CSR32, BSR32): the
+// Galerkin products, the block smoothers and the coarsest factorization
+// all need stored entries.
+var ErrUnassembledOperator = errors.New("multigrid: fine operator is not an assembled sparse matrix")
+
 func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG, error) {
+	switch fineA.(type) {
+	case *sparse.CSR, *sparse.BSR, *sparse.CSR32, *sparse.BSR32:
+	default:
+		return nil, fmt.Errorf("%w (got %T)", ErrUnassembledOperator, fineA)
+	}
 	opts = opts.withDefaults()
 	if fineA.Rows() != fineA.Cols() {
 		return nil, errors.New("multigrid: fine operator must be square")
@@ -349,17 +351,6 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 		if _, ok := a.(*sparse.BSR); !ok {
 			a = sparse.AutoBlock(sparse.AsCSR(fineA), opts.BlockSize)
 		}
-	case StorageMatrixFree:
-		// The fine operator stays exactly as handed in; the only demands a
-		// matrix-free hierarchy makes of it are the Galerkin capability for
-		// the first coarsening and at least one coarse level to hand the
-		// direct solver an assembled matrix.
-		if _, ok := fineA.(sparse.GalerkinAssembler); !ok {
-			return nil, errors.New("multigrid: StorageMatrixFree needs a fine operator with the Galerkin-assembly capability (fem.EBEOperator)")
-		}
-		if len(restrictions) == 0 {
-			return nil, errors.New("multigrid: StorageMatrixFree needs at least one coarse level for the direct solve")
-		}
 	}
 	mg.Levels = append(mg.Levels, &Level{A: a})
 	for _, r := range restrictions {
@@ -372,15 +363,10 @@ func newMG(fineA sparse.Operator, restrictions []*sparse.CSR, opts Options) (*MG
 		// to the CSR hierarchy it replaces (iteration counts included).
 		spg := obs.Start(evGalerkin)
 		var ac sparse.Operator
-		if ga, ok := a.(sparse.GalerkinAssembler); ok {
-			// Matrix-free level: R·A·Rᵀ assembled from element
-			// contributions, never from a stored fine matrix. The chain
-			// continues as scalar CSR below.
-			ac = fixEmptyRows(ga.AssembleGalerkin(r))
-		} else if _, blocked := a.(*sparse.BSR); blocked {
+		if _, blocked := a.(*sparse.BSR); blocked {
 			ac = fixEmptyRowsOp(sparse.GalerkinBSR(r, a))
 		} else {
-			ac = fixEmptyRows(sparse.Galerkin(r, a.(*sparse.CSR)))
+			ac = fixEmptyRows(sparse.Galerkin(r, sparse.AsCSR(a)))
 		}
 		spg.End()
 		// Galerkin product cost estimate: ~2 flops per multiply-add over
@@ -456,37 +442,21 @@ func narrowOp(a sparse.Operator) sparse.Operator {
 	}
 }
 
-// rowTraversable reports whether the level operator exposes stored
-// entries (the RowScanner capability). The domain-decomposed smoothers
-// need the matrix graph to partition, so on a matrix-free level
-// makeSmoother silently substitutes Chebyshev — the natural apply-only
-// smoother — instead of failing the whole hierarchy.
-func rowTraversable(a sparse.Operator) bool {
-	_, ok := a.(sparse.RowScanner)
-	return ok
-}
-
 func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 	switch mg.Opts.Smoother {
 	case Jacobi:
 		return smooth.NewJacobi(a, 2.0/3), nil
 	case GaussSeidel:
-		if _, ok := a.(sparse.Sweeper); !ok {
-			return nil, errors.New("multigrid: GaussSeidel needs ordered sweeps over stored entries; a matrix-free level cannot provide them (use Chebyshev or NodeBlockJacobi)")
-		}
 		return smooth.NewGaussSeidel(a, mg.Opts.Omega, true), nil
 	case Chebyshev:
 		return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
 	case NodeBlockJacobi:
 		s, err := smooth.NewNodeBlockJacobi(a, 2.0/3)
 		if err != nil {
-			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR or use a node-aligned matrix-free operator): %w", err)
+			return nil, fmt.Errorf("multigrid: NodeBlockJacobi smoother requires node-blocked storage (set Options.Storage = StorageBSR): %w", err)
 		}
 		return s, nil
 	case DomainBlockJacobi:
-		if !rowTraversable(a) {
-			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-		}
 		bj, err := mg.blockJacobi(a)
 		if err != nil {
 			return nil, err
@@ -494,9 +464,6 @@ func (mg *MG) makeSmoother(a sparse.Operator) (smooth.Smoother, error) {
 		bj.AutoDamp()
 		return bj, nil
 	default: // DomainBlockJacobiCG
-		if !rowTraversable(a) {
-			return smooth.NewChebyshev(a, mg.Opts.ChebDegree, 30), nil
-		}
 		bj, err := mg.blockJacobi(a)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package multigrid
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -385,157 +386,26 @@ func TestFixEmptyRows(t *testing.T) {
 	}
 }
 
-// buildElasticityMF builds the same reduced elasticity system as
-// buildElasticity in both forms: the assembled reduced CSR and the
-// matrix-free element-by-element operator, sharing one restriction chain.
-func buildElasticityMF(t *testing.T, n int) (*sparse.CSR, *fem.EBEOperator, []float64, []*sparse.CSR) {
-	t.Helper()
-	m := mesh.StructuredHex(n, n, n, 1, 1, 1, nil)
-	p := fem.NewProblem(m, []material.Model{material.LinearElastic{E: 1, Nu: 0.3}}, false)
-	u := make([]float64, m.NumDOF())
-	k, _, err := p.AssembleTangent(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := fem.NewConstraints()
-	for _, v := range m.VertsWhere(func(q geom.Vec3) bool { return q.Z == 0 }) {
-		c.FixVert(v, 0, 0, 0)
-	}
-	f := make([]float64, m.NumDOF())
-	for _, v := range m.VertsWhere(func(q geom.Vec3) bool { return q.Z == 1 }) {
-		f[3*v+2] = -0.001
-	}
-	dm := c.NewDofMap(m.NumDOF())
-	kr, fr := c.Reduce(k, f, dm)
-	op, err := fem.NewEBEOperator(p, u, c, dm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := core.Coarsen(m, core.Options{MinCoarse: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rs []*sparse.CSR
-	for l := 1; l < h.NumLevels(); l++ {
-		r := h.Grids[l].R
-		if l == 1 {
-			r = CompressCols(r, dm.Full2Red, dm.NumFree())
-		}
-		rs = append(rs, r)
-	}
-	return kr, op, fr, rs
-}
+// foreignOp is an Operator the multigrid package does not know: it
+// applies a CSR but is none of the assembled storage types.
+type foreignOp struct{ *sparse.CSR }
 
-// TestStorageParityMF extends the storage-parity invariant to the third
-// mode: a matrix-free fine level preconditions FPCG to the same solution
-// with an iteration count within ±1 of assembled CSR under the identical
-// (apply-only Chebyshev) smoother. The products differ by ULPs per row —
-// different summation association over the same element contributions —
-// so bitwise equality is not expected; iteration parity and solution
-// agreement to solver tolerance are.
-func TestStorageParityMF(t *testing.T) {
-	kr, op, f, rs := buildElasticityMF(t, 4)
-	if len(rs) == 0 {
-		t.Fatal("no coarse levels")
-	}
-	solve := func(a sparse.Operator, st StorageKind) ([]float64, int) {
-		mg, err := New(a, rs, Options{Storage: st, Smoother: Chebyshev})
-		if err != nil {
-			t.Fatal(err)
+// TestForeignOperatorRejected: a fine operator outside the assembled
+// storages gets the typed ErrUnassembledOperator from New, with or
+// without a restriction chain and under every storage option, rather
+// than a panic inside setup.
+func TestForeignOperatorRejected(t *testing.T) {
+	kr, _, rs := buildElasticity(t, 3, core.Options{MinCoarse: 30})
+	op := foreignOp{kr}
+	for _, st := range []StorageKind{StorageAuto, StorageCSR, StorageBSR} {
+		for _, chain := range [][]*sparse.CSR{nil, rs} {
+			mg, err := New(op, chain, Options{Storage: st})
+			if !errors.Is(err, ErrUnassembledOperator) {
+				t.Fatalf("storage %v, %d restrictions: err = %v, want ErrUnassembledOperator", st, len(chain), err)
+			}
+			if mg != nil {
+				t.Fatalf("storage %v: got a hierarchy for a foreign operator", st)
+			}
 		}
-		x := make([]float64, a.Rows())
-		res := krylov.FPCG(a, f, x, mg, 1e-8, 400)
-		if !res.Converged {
-			t.Fatalf("storage %v did not converge", st)
-		}
-		return x, res.Iterations
-	}
-	xc, ic := solve(kr, StorageCSR)
-	xm, im := solve(op, StorageMatrixFree)
-	if d := ic - im; d < -1 || d > 1 {
-		t.Fatalf("iteration counts differ beyond ±1: CSR %d vs MF %d", ic, im)
-	}
-	num, den := 0.0, 0.0
-	for i := range xc {
-		num += (xc[i] - xm[i]) * (xc[i] - xm[i])
-		den += xc[i] * xc[i]
-	}
-	if math.Sqrt(num) > 1e-6*math.Sqrt(den) {
-		t.Fatalf("solutions disagree: rel diff %v", math.Sqrt(num/den))
-	}
-	t.Logf("CSR %d its, MF %d its", ic, im)
-}
-
-// TestMatrixFreeHierarchyShape pins the structural claims of the MF
-// storage mode: the fine level stays the element-by-element operator
-// (no assembled fine matrix anywhere), every coarse level is an
-// assembled scalar CSR from the element-Galerkin capability, and the MF
-// solve is run-to-run bitwise deterministic.
-func TestMatrixFreeHierarchyShape(t *testing.T) {
-	_, op, f, rs := buildElasticityMF(t, 4)
-	mg, err := New(op, rs, Options{Storage: StorageMatrixFree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mg.Levels[0].A.(*fem.EBEOperator); !ok {
-		t.Fatalf("fine level is %T, want *fem.EBEOperator", mg.Levels[0].A)
-	}
-	for l := 1; l < len(mg.Levels); l++ {
-		if _, ok := mg.Levels[l].A.(*sparse.CSR); !ok {
-			t.Fatalf("level %d is %T, want *sparse.CSR", l, mg.Levels[l].A)
-		}
-	}
-	run := func() []float64 {
-		mg2, err := New(op, rs, Options{Storage: StorageMatrixFree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, op.Rows())
-		res := krylov.FPCG(op, f, x, mg2, 1e-8, 400)
-		if !res.Converged {
-			t.Fatal("MF solve did not converge")
-		}
-		return x
-	}
-	x1, x2 := run(), run()
-	for i := range x1 {
-		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
-			t.Fatalf("MF solve not run-to-run deterministic at dof %d", i)
-		}
-	}
-}
-
-// TestMatrixFreeSmootherFallbacks covers the capability seams: the
-// node-block Jacobi smoother works on the node-aligned EBE operator, the
-// row-traversal smoothers (domain-block Jacobi kinds) silently fall back
-// to Chebyshev rather than demanding entry access, and Gauss-Seidel —
-// which genuinely needs ordered sweeps — is rejected with a clear error.
-func TestMatrixFreeSmootherFallbacks(t *testing.T) {
-	_, op, f, rs := buildElasticityMF(t, 4)
-	if _, err := New(op, rs, Options{Storage: StorageMatrixFree, Smoother: GaussSeidel}); err == nil {
-		t.Fatal("GaussSeidel on a matrix-free level should be rejected")
-	}
-	for _, sm := range []SmootherKind{NodeBlockJacobi, DomainBlockJacobiCG, DomainBlockJacobi} {
-		mg, err := New(op, rs, Options{Storage: StorageMatrixFree, Smoother: sm})
-		if err != nil {
-			t.Fatalf("smoother %v on MF: %v", sm, err)
-		}
-		x := make([]float64, op.Rows())
-		res := krylov.FPCG(op, f, x, mg, 1e-8, 400)
-		if !res.Converged {
-			t.Fatalf("smoother %v on MF did not converge", sm)
-		}
-	}
-}
-
-// TestMatrixFreeRejectsBadConfig: MF storage requires the Galerkin
-// capability and at least one coarse level.
-func TestMatrixFreeRejectsBadConfig(t *testing.T) {
-	kr, op, _, rs := buildElasticityMF(t, 3)
-	if _, err := New(kr, rs, Options{Storage: StorageMatrixFree}); err == nil {
-		t.Fatal("MF storage over an assembled CSR should fail")
-	}
-	if _, err := New(op, nil, Options{Storage: StorageMatrixFree}); err == nil {
-		t.Fatal("MF storage with no coarse levels should fail")
 	}
 }

@@ -29,9 +29,6 @@ func storageName(a sparse.Operator) string {
 	case *sparse.CSR32:
 		return "csr32"
 	default:
-		if l, ok := a.(sparse.StorageLabeler); ok {
-			return l.StorageLabel()
-		}
 		return "op"
 	}
 }

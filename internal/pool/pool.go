@@ -34,29 +34,10 @@ type Kernel interface {
 	MulVecRange(x, y []float64, lo, hi int)
 }
 
-// IndexedKernel is an item-partitioned compute kernel for work whose
-// writes are disjoint but not contiguous: colored element batches, where
-// item granularity is one element and the scatter touches the element's
-// scattered dofs. ApplyOne must write y only at the indices WriteSet
-// returns for the same item, and must not write x. Items dispatched in
-// one DispatchIndexed call must have pairwise-disjoint write sets — the
-// caller's coloring invariant; under promdebug every item's set is
-// claimed in the ownership table, so a coloring bug panics with both
-// workers' stacks at the first overlapping scatter.
-type IndexedKernel interface {
-	// ApplyOne processes item (accumulating into y at WriteSet(item)).
-	ApplyOne(x, y []float64, item int)
-	// WriteSet returns the y-indices ApplyOne(_, _, item) writes. The
-	// returned slice must be immutable for the duration of the dispatch
-	// (precomputed subslices, not per-call temporaries).
-	WriteSet(item int) []int32
-}
-
-// job is one dispatched row range (k) or item range (ik). Jobs travel by
-// value so a dispatch allocates nothing.
+// job is one dispatched row range. Jobs travel by value so a dispatch
+// allocates nothing.
 type job struct {
 	k      Kernel
-	ik     IndexedKernel
 	x, y   []float64
 	lo, hi int
 	// task is the request scope the chunk's work is attributed to (nil
@@ -114,11 +95,6 @@ func (p *Pool) Close() { close(p.jobs) }
 // dispatch rather than corrupting data silently.
 func (p *Pool) worker(w int) {
 	for j := range p.jobs {
-		if j.ik != nil {
-			p.runItems(w, j)
-			p.done <- struct{}{}
-			continue
-		}
 		if check.Enabled {
 			p.own.Claim(w, j.y, j.lo, j.hi)
 		}
@@ -132,27 +108,6 @@ func (p *Pool) worker(w int) {
 		}
 		p.done <- struct{}{}
 	}
-}
-
-// runItems executes one indexed job: items [lo, hi) in ascending order.
-// Worker w's writes are confined to the union of the items' write sets —
-// the IndexedKernel contract — and under promdebug each item's set is
-// claimed in the ownership table around its apply, so two workers
-// scattering to a shared index panic instead of racing.
-func (p *Pool) runItems(w int, j job) {
-	sp := obs.StartRankTask(evPoolTask, w, j.task)
-	for e := j.lo; e < j.hi; e++ {
-		if check.Enabled {
-			p.own.ClaimIndices(w, j.y, j.ik.WriteSet(e))
-			j.ik.ApplyOne(j.x, j.y, e)
-			p.own.Release(w)
-			continue
-		}
-		j.ik.ApplyOne(j.x, j.y, e)
-	}
-	sp.End()
-	obs.AddCount(evPoolItems, w, int64(j.hi-j.lo))
-	j.task.AddRows(int64(j.hi - j.lo))
 }
 
 // Dispatch partitions [0, n) into contiguous chunks aligned to align
@@ -202,57 +157,6 @@ func (p *Pool) DispatchTask(t *obs.Task, k Kernel, x, y []float64, n, align int)
 			hi = n
 		}
 		p.jobs <- job{k: k, x: x, y: y, lo: lo, hi: hi, task: t}
-		lo = hi
-	}
-	for w := 0; w < nw; w++ {
-		<-p.done
-	}
-	p.mu.Unlock()
-}
-
-// DispatchIndexed partitions the items [0, m) into contiguous chunks,
-// runs k over the chunks on the workers, and returns when every item is
-// applied. The partition telescopes exactly like Dispatch's, so chunks
-// are pairwise disjoint and cover [0, m); within a chunk items run in
-// ascending order, and the single-worker fallback applies every item in
-// the same ascending order, which keeps results bitwise identical to the
-// serial kernel for every pool size when the caller's write sets are
-// disjoint (each y index is written by at most one item, so the partition
-// cannot reorder any index's accumulation).
-func (p *Pool) DispatchIndexed(k IndexedKernel, x, y []float64, m int) {
-	p.DispatchIndexedTask(nil, k, x, y, m)
-}
-
-// DispatchIndexedTask is DispatchIndexed with request-scoped
-// attribution (see DispatchTask).
-func (p *Pool) DispatchIndexedTask(t *obs.Task, k IndexedKernel, x, y []float64, m int) {
-	if m <= 0 {
-		return
-	}
-	nw := p.nw
-	if nw > m {
-		nw = m
-	}
-	if nw <= 1 {
-		for e := 0; e < m; e++ {
-			k.ApplyOne(x, y, e)
-		}
-		return
-	}
-	p.mu.Lock()
-	q := m / nw
-	r := m % nw
-	lo := 0
-	for w := 0; w < nw; w++ {
-		u := q
-		if w < r {
-			u++
-		}
-		hi := lo + u
-		if w == nw-1 {
-			hi = m
-		}
-		p.jobs <- job{ik: k, x: x, y: y, lo: lo, hi: hi, task: t}
 		lo = hi
 	}
 	for w := 0; w < nw; w++ {

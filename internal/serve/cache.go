@@ -31,9 +31,7 @@ type cacheEntry struct {
 	err  error
 
 	solver *prometheus.Solver
-	// kred is the reduced fine operator: an assembled matrix on the
-	// csr/bsr paths, a matrix-free element-by-element operator under
-	// storage "mf" — the solve only needs Operator either way.
+	// kred is the reduced, assembled fine operator.
 	kred    prometheus.Operator
 	fred    []float64
 	numDOF  int
@@ -63,24 +61,12 @@ func (e *cacheEntry) build(g *Geometry, scale float64, opts prometheus.Options) 
 		e.err = err
 		return
 	}
-	var kred prometheus.Operator
-	var fred []float64
-	if opts.MG.Storage == prometheus.StorageMatrixFree {
-		// Matrix-free mode: no fine-grid matrix is ever assembled; the
-		// cached operator applies element stiffnesses directly.
-		kred, fred, err = g.MatrixFreeLinear(solver, scale)
-		if err != nil {
-			e.err = err
-			return
-		}
-	} else {
-		k, f, err := g.AssembleLinear(scale)
-		if err != nil {
-			e.err = err
-			return
-		}
-		kred, fred = solver.ReduceSystem(k, f)
+	k, f, err := g.AssembleLinear(scale)
+	if err != nil {
+		e.err = err
+		return
 	}
+	kred, fred := solver.ReduceSystem(k, f)
 	mg, err := solver.Preconditioner(kred)
 	if err != nil {
 		e.err = err

@@ -26,8 +26,7 @@ type SolveRequest struct {
 	// Cycle selects the multigrid cycle: "fmg" (default), "v" or "w".
 	Cycle string `json:"cycle"`
 	// Storage selects the operator storage mode: "auto" (default — follow
-	// the assembled fine matrix), "csr", "bsr", or "mf" (matrix-free
-	// element-by-element fine operator; no fine matrix is assembled).
+	// the assembled fine matrix), "csr" or "bsr".
 	Storage string `json:"storage"`
 	// Precision selects the coarse-level value precision: "f64" (default)
 	// or "f32" (float32 Galerkin levels).

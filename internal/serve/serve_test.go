@@ -92,61 +92,6 @@ func TestServeBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestServeMatrixFree drives the "mf" storage mode through the full HTTP
-// path: the served solve must be bitwise identical to a direct
-// matrix-free run, must converge, and must cache under a key distinct
-// from the assembled-storage entry for the same spec (two entries after
-// the two requests, not one shared one).
-func TestServeMatrixFree(t *testing.T) {
-	spec := Spec{Problem: "cube", Size: 1}
-	uDirect, resDirect, err := DirectSolve(spec, 1, 1e-4, 1000, "fmg", "mf", "")
-	if err != nil {
-		t.Fatalf("direct matrix-free solve: %v", err)
-	}
-
-	_, ts := newTestServer(t, Config{})
-	assembled := postSolve(t, ts, SolveRequest{Spec: spec})
-	got := postSolve(t, ts, SolveRequest{Spec: spec, Storage: "mf"})
-
-	if !got.Converged {
-		t.Fatalf("matrix-free served solve did not converge: %+v", got)
-	}
-	if got.Iterations != resDirect.Iterations {
-		t.Fatalf("served %d iterations, direct %d", got.Iterations, resDirect.Iterations)
-	}
-	if want := SolutionHash(uDirect); got.SolutionHash != want {
-		t.Fatalf("solution hash %s, direct %s", got.SolutionHash, want)
-	}
-	if got.Key == assembled.Key {
-		t.Fatalf("matrix-free request shared cache key %s with the assembled one", got.Key)
-	}
-	if got.CacheHit {
-		t.Fatal("matrix-free request hit the assembled entry")
-	}
-	var cb cacheBody
-	getJSON(t, ts.URL+"/v1/cache", &cb)
-	if len(cb.Entries) != 2 {
-		t.Fatalf("cache holds %d entries after csr+mf requests, want 2", len(cb.Entries))
-	}
-
-	// The solutions agree physically even though the iteration paths (and
-	// so the exact bits) differ between assembled and matrix-free applies.
-	mf := postSolve(t, ts, SolveRequest{Spec: spec, Storage: "mf", ReturnSolution: true})
-	csr := postSolve(t, ts, SolveRequest{Spec: spec, ReturnSolution: true})
-	if !mf.CacheHit || !csr.CacheHit {
-		t.Fatal("repeat requests missed their cache entries")
-	}
-	var num, den float64
-	for i := range mf.Solution {
-		d := mf.Solution[i] - csr.Solution[i]
-		num += d * d
-		den += csr.Solution[i] * csr.Solution[i]
-	}
-	if num > 1e-2*1e-2*den {
-		t.Fatalf("matrix-free and assembled solutions diverge: rel %g", num/den)
-	}
-}
-
 // TestServeCacheSkipsSetup asserts the performance heart of the service:
 // the second request for a geometry runs zero coarsening and zero
 // multigrid setup — the obs phase counters for both must not move.

@@ -171,8 +171,8 @@ func TestCachePinnedEntryNotEvicted(t *testing.T) {
 // test for the key derivation: every request parameter that changes the
 // cached setup products — fingerprint, cycle, load scale, storage mode,
 // coarse precision — must land in the key. A shared key across storage
-// modes would hand one request a cached matrix-free operator when it
-// asked for an assembled one (or vice versa); a shared key across
+// modes would hand one request a cached BSR hierarchy when it asked for
+// a CSR one (or vice versa); a shared key across
 // precisions would serve float32 coarse grids to a full-precision solve.
 func TestCacheKeyDistinguishesVariants(t *testing.T) {
 	mustOpts := func(storage, precision string) prometheus.Options {
@@ -185,17 +185,16 @@ func TestCacheKeyDistinguishesVariants(t *testing.T) {
 	}
 	def := mustOpts("", "")
 	keys := map[string]bool{
-		cacheKey("fp", "fmg", def, 1):                   true,
-		cacheKey("fp", "v", def, 1):                     true,
-		cacheKey("fp", "fmg", def, 2):                   true,
-		cacheKey("fp2", "fmg", def, 1):                  true,
-		cacheKey("fp", "fmg", mustOpts("csr", ""), 1):   true,
-		cacheKey("fp", "fmg", mustOpts("bsr", ""), 1):   true,
-		cacheKey("fp", "fmg", mustOpts("mf", ""), 1):    true,
-		cacheKey("fp", "fmg", mustOpts("", "f32"), 1):   true,
-		cacheKey("fp", "fmg", mustOpts("mf", "f32"), 1): true,
+		cacheKey("fp", "fmg", def, 1):                    true,
+		cacheKey("fp", "v", def, 1):                      true,
+		cacheKey("fp", "fmg", def, 2):                    true,
+		cacheKey("fp2", "fmg", def, 1):                   true,
+		cacheKey("fp", "fmg", mustOpts("csr", ""), 1):    true,
+		cacheKey("fp", "fmg", mustOpts("bsr", ""), 1):    true,
+		cacheKey("fp", "fmg", mustOpts("", "f32"), 1):    true,
+		cacheKey("fp", "fmg", mustOpts("bsr", "f32"), 1): true,
 	}
-	if len(keys) != 9 {
+	if len(keys) != 8 {
 		t.Fatalf("cache key variants collide: %v", keys)
 	}
 	// Equivalent spellings of the defaults must share a key: the label is
@@ -254,8 +253,10 @@ func TestSolverOptionsValidation(t *testing.T) {
 	if _, err := solverOptions(1e-4, 100, "spiral", "", ""); err == nil {
 		t.Fatal("unknown cycle accepted")
 	}
-	if _, err := solverOptions(1e-4, 100, "fmg", "ebe", ""); err == nil {
-		t.Fatal("unknown storage accepted")
+	for _, st := range []string{"ebe", "mf"} {
+		if _, err := solverOptions(1e-4, 100, "fmg", st, ""); err == nil {
+			t.Fatalf("unknown storage %q accepted", st)
+		}
 	}
 	if _, err := solverOptions(1e-4, 100, "fmg", "", "f16"); err == nil {
 		t.Fatal("unknown precision accepted")
@@ -265,13 +266,9 @@ func TestSolverOptionsValidation(t *testing.T) {
 			t.Fatalf("cycle %q rejected: %v", cyc, err)
 		}
 	}
-	for _, st := range []string{"", "auto", "csr", "bsr", "mf"} {
-		opts, err := solverOptions(1e-4, 100, "fmg", st, "")
-		if err != nil {
+	for _, st := range []string{"", "auto", "csr", "bsr"} {
+		if _, err := solverOptions(1e-4, 100, "fmg", st, ""); err != nil {
 			t.Fatalf("storage %q rejected: %v", st, err)
-		}
-		if st == "mf" && opts.MG.Storage != prometheus.StorageMatrixFree {
-			t.Fatalf("storage mf mapped to %v", opts.MG.Storage)
 		}
 	}
 	for _, pr := range []string{"", "f64", "f32"} {

@@ -98,8 +98,7 @@ func (s *Jacobi) Flops() int64 { return s.flops }
 // sparse.Sweeper capability): on scalar storage it updates one unknown at
 // a time; on blocked storage it runs the paper's nodal variant, solving
 // each node's BxB diagonal block exactly per visit (precomputed
-// inverses). Operators without the capability (matrix-free) cannot be
-// Gauss-Seidel smoothed — use Jacobi or Chebyshev there.
+// inverses). All four assembled storages provide the capability.
 type GaussSeidel struct {
 	taskRef
 	A     sparse.Operator
@@ -476,9 +475,9 @@ type NodeBlockJacobi struct {
 }
 
 // NewNodeBlockJacobi inverts the nodal diagonal blocks of an operator
-// with the sparse.BlockDiagonaler capability (BSR, BSR32, or the
-// matrix-free element operator when node-aligned). omega damps the update
-// exactly as in scalar Jacobi (2/3 is customary in multigrid). For f32
+// with the sparse.BlockDiagonaler capability (BSR or BSR32). omega damps
+// the update exactly as in scalar Jacobi (2/3 is customary in
+// multigrid). For f32
 // storages the diagonal blocks arrive widened to float64 before
 // inversion, so the smoother's update math is identical to the f64
 // variant applied to the narrowed operator.

@@ -3,18 +3,14 @@ package sparse
 // Operator is the storage-agnostic interface every solver algorithm in the
 // tree is written against: Krylov methods, smoothers, the multigrid cycle
 // and the parallel kernels only need a matrix-vector product, a residual,
-// a diagonal and a handful of size queries. CSR, BSR and the matrix-free
-// element-by-element operator all implement it; new storage formats slot
-// in behind the same interface without touching the algorithms. This is
-// the PETSc Mat-object decoupling that let the paper swap AIJ for the
-// blocked BAIJ format and collect the per-processor Mflop gains.
+// a diagonal and a handful of size queries. CSR and BSR (and their f32
+// coarse-level variants) implement it. This is the PETSc Mat-object
+// decoupling that let the paper swap AIJ for the blocked BAIJ format and
+// collect the per-processor Mflop gains.
 //
-// Anything beyond the core apply is a capability, not a requirement:
-// consumers that need row access, diagonal blocks or a SOR sweep assert
-// the corresponding optional interface (RowScanner, BlockDiagonaler,
-// Sweeper) and degrade gracefully when the operator does not provide it.
-// That split is what lets an assembly-free operator participate in the
-// whole stack without faking entry lookups it cannot afford.
+// Anything beyond the core apply is a capability: consumers that need
+// diagonal blocks or a SOR sweep assert the corresponding optional
+// interface (BlockDiagonaler, Sweeper) instead of a concrete storage type.
 type Operator interface {
 	// Rows and Cols return the operator's dimensions.
 	Rows() int
@@ -38,16 +34,6 @@ type Operator interface {
 	MulVecFlops() int64
 }
 
-// RowScanner is the row-access capability: entry lookup for code that
-// genuinely needs to inspect stored values (setup-time graph work, tests,
-// diagnostics). Matrix-free operators deliberately do not implement it —
-// an entry query would cost a partial element loop — so consumers must
-// treat it as optional and fall back to apply-only algorithms.
-type RowScanner interface {
-	// At returns A(i,j), zero when the entry is not stored.
-	At(i, j int) float64
-}
-
 // BlockDiagonaler is the node-block diagonal capability: storages that
 // know their b-by-b diagonal blocks expose them for block smoothers
 // (NodeBlockJacobi) without the smoother asserting a concrete type.
@@ -62,9 +48,7 @@ type BlockDiagonaler interface {
 
 // Sweeper is the SOR-sweep capability: storages with ordered row
 // traversal provide the Gauss-Seidel kernel themselves, so the smoother
-// package never reaches into storage internals. Operators without row
-// order (matrix-free) do not implement it; smoothing falls back to
-// apply-only methods (Jacobi, Chebyshev).
+// package never reaches into storage internals.
 type Sweeper interface {
 	// SORSweep performs one forward (backward=false) or backward sweep of
 	// x for A·x = b in place and returns the flop count. invBlk holds the
@@ -72,32 +56,6 @@ type Sweeper interface {
 	// storages); scratch is a caller-provided buffer of at least
 	// BlockSize() float64s for the per-block right-hand side.
 	SORSweep(x, b []float64, omega float64, backward bool, invBlk, scratch []float64) int64
-}
-
-// GalerkinAssembler is the coarse-operator capability: operators that can
-// form the Galerkin product R·A·Rᵀ directly implement it, so multigrid
-// setup on a matrix-free fine level assembles the first coarse matrix
-// from element contributions without ever assembling the fine matrix.
-type GalerkinAssembler interface {
-	// AssembleGalerkin returns R·A·Rᵀ as an assembled CSR for the given
-	// restriction R (rows = coarse dofs, cols = fine dofs).
-	AssembleGalerkin(r *CSR) *CSR
-}
-
-// StorageLabeler is the observability capability: external storage
-// formats report the short label ("mf") used in level tables and event
-// names, so the multigrid package does not need to know them by type.
-type StorageLabeler interface {
-	// StorageLabel returns the short storage-mode label.
-	StorageLabel() string
-}
-
-// ByteAccounter is the memory-accounting capability: external storage
-// formats report their resident bytes so StorageBytes covers them
-// without a concrete-type switch.
-type ByteAccounter interface {
-	// StorageBytes returns the resident bytes of the operator's arrays.
-	StorageBytes() int64
 }
 
 // Compile-time interface conformance for all four assembled storage
@@ -108,10 +66,10 @@ var (
 	_ Operator = (*CSR32)(nil)
 	_ Operator = (*BSR32)(nil)
 
-	_ RowScanner = (*CSR)(nil)
-	_ RowScanner = (*BSR)(nil)
-	_ RowScanner = (*CSR32)(nil)
-	_ RowScanner = (*BSR32)(nil)
+	_ Sweeper = (*CSR)(nil)
+	_ Sweeper = (*BSR)(nil)
+	_ Sweeper = (*CSR32)(nil)
+	_ Sweeper = (*BSR32)(nil)
 
 	_ BlockDiagonaler = (*BSR)(nil)
 	_ BlockDiagonaler = (*BSR32)(nil)
@@ -131,9 +89,8 @@ func AsCSR(op Operator) *CSR {
 }
 
 // TryCSR is AsCSR with a graceful failure: it returns (nil, false) for
-// operators without an assembled scalar view (matrix-free storage), so
-// setup-time consumers can report a configuration error instead of
-// panicking.
+// operators that are none of the assembled storages, so setup-time
+// consumers can report a configuration error instead of panicking.
 func TryCSR(op Operator) (*CSR, bool) {
 	switch a := op.(type) {
 	case *CSR:
@@ -168,7 +125,7 @@ func AutoBlock(a *CSR, b int) Operator {
 
 // AutoBlockOp is AutoBlock lifted to the Operator interface: scalar CSR
 // inputs get the blocking heuristic, every other operator (already
-// blocked, f32, matrix-free) passes through unchanged. Consumers outside
+// blocked or f32) passes through unchanged. Consumers outside
 // the sparse package use it instead of asserting concrete storage types.
 func AutoBlockOp(op Operator, b int) Operator {
 	if a, ok := op.(*CSR); ok {

@@ -50,14 +50,8 @@ type (
 	// per-processor Mflop rate.
 	BSR = sparse.BSR
 	// Operator is the storage-agnostic sparse operator interface the
-	// solver stack is written against; CSR, BSR and the matrix-free
-	// EBEOperator all implement it.
+	// solver stack is written against; CSR and BSR implement it.
 	Operator = sparse.Operator
-	// EBEOperator is the matrix-free element-by-element fine operator:
-	// per-element stiffnesses applied gather/scatter with no assembled
-	// fine-grid matrix (fem.EBEOperator). Build one with
-	// Solver.MatrixFreeSystem.
-	EBEOperator = fem.EBEOperator
 	// StorageKind selects the per-level operator storage of the multigrid
 	// hierarchy (multigrid.StorageKind); set it on MGOptions.Storage.
 	StorageKind = multigrid.StorageKind
@@ -87,13 +81,12 @@ const (
 	WCycle = multigrid.WCycle
 )
 
-// Storage modes for MGOptions.Storage: assembled scalar rows, assembled
-// 3x3 node blocks, or the matrix-free element-by-element fine level.
+// Storage modes for MGOptions.Storage: assembled scalar rows or
+// assembled 3x3 node blocks.
 const (
-	StorageAuto       = multigrid.StorageAuto
-	StorageCSR        = multigrid.StorageCSR
-	StorageBSR        = multigrid.StorageBSR
-	StorageMatrixFree = multigrid.StorageMatrixFree
+	StorageAuto = multigrid.StorageAuto
+	StorageCSR  = multigrid.StorageCSR
+	StorageBSR  = multigrid.StorageBSR
 )
 
 // NewStructuredHexMesh builds an nx×ny×nz hexahedral mesh of a box; matFn
@@ -243,7 +236,7 @@ func (s *Solver) Preconditioner(kred Operator) (*multigrid.MG, error) {
 	if s.Opts.Hierarchy == SmoothedAggregation && s.rs == nil {
 		kc, ok := sparse.TryCSR(kred)
 		if !ok {
-			return nil, fmt.Errorf("prometheus: aggregation setup needs an assembled fine matrix, not a matrix-free operator")
+			return nil, fmt.Errorf("prometheus: aggregation setup: %w", multigrid.ErrUnassembledOperator)
 		}
 		b := aggregation.RigidBodyModes(s.Mesh.Coords, s.dofMap.Full2Red, s.dofMap.NumFree())
 		rs, err := aggregation.BuildRestrictions(kc, b, aggregation.Options{})
@@ -285,33 +278,11 @@ func (s *Solver) Fingerprint() string {
 	return core.Fingerprint(s.Mesh, s.cons.Fixed, s.Opts.Coarsen)
 }
 
-// MatrixFreeSystem builds the reduced linear system in matrix-free form:
-// an element-by-element operator over the free dofs (no assembled
-// fine-grid matrix anywhere) plus the reduced right-hand side — the
-// storage-mode-"mf" counterpart of assembling a stiffness and calling
-// ReduceSystem. Pair the returned operator with
-// Options.MG.Storage = StorageMatrixFree so the hierarchy
-// Galerkin-assembles its first coarse level directly from the element
-// stiffnesses.
-func (s *Solver) MatrixFreeSystem(p *Problem, f []float64) (Operator, []float64, error) {
-	u := make([]float64, s.Mesh.NumDOF())
-	op, err := fem.NewEBEOperator(p, u, s.cons, s.dofMap)
-	if err != nil {
-		return nil, nil, fmt.Errorf("prometheus: matrix-free setup: %w", err)
-	}
-	fred := s.dofMap.RestrictVec(f)
-	cf := op.ConstraintForce()
-	for i := range fred {
-		fred[i] -= cf[i]
-	}
-	return op, fred, nil
-}
-
 // SolveReduced solves the already-reduced system kred·x = fred with the
 // multigrid-preconditioned FPCG and returns the full-length displacement
 // with the prescribed values in place — the storage-agnostic core of
-// SolveLinear, and the solve entry point for matrix-free systems built
-// with MatrixFreeSystem.
+// SolveLinear. An operator that is none of the assembled sparse storages
+// fails with an error wrapping multigrid.ErrUnassembledOperator.
 func (s *Solver) SolveReduced(kred Operator, fred []float64) ([]float64, *Result, error) {
 	mg, err := s.Preconditioner(kred)
 	if err != nil {

@@ -1,9 +1,12 @@
 package prometheus
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"prometheus/internal/multigrid"
 )
 
 // buildCube sets up the quickstart problem via the public API only.
@@ -309,4 +312,35 @@ func TestPublicAPITetrahedralFineMesh(t *testing.T) {
 		t.Fatalf("tet pipeline: %+v", res)
 	}
 	t.Logf("tet fine mesh: %d dof, %d levels, %d its", m.NumDOF(), res.Levels, res.Iterations)
+}
+
+// wrappedOperator is a user-defined Operator: it applies an assembled
+// matrix but is none of the storage types the solver can set up on.
+type wrappedOperator struct{ *CSR }
+
+// TestSolveReducedRejectsForeignOperator: SolveReduced takes any
+// Operator, so an implementation the multigrid setup cannot read must
+// come back as an error wrapping multigrid.ErrUnassembledOperator, on
+// both hierarchy kinds, not as a panic.
+func TestSolveReducedRejectsForeignOperator(t *testing.T) {
+	m, cons, f := buildCube(t, 3)
+	p := NewProblem(m, []Model{LinearElastic{E: 1, Nu: 0.3}}, false)
+	k, _, err := p.AssembleTangent(make([]float64, m.NumDOF()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hk := range []HierarchyKind{GeometricMIS, SmoothedAggregation} {
+		solver, err := NewSolver(m, cons, Options{Hierarchy: hk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kred, fred := solver.ReduceSystem(k, f)
+		u, res, err := solver.SolveReduced(wrappedOperator{kred}, fred)
+		if !errors.Is(err, multigrid.ErrUnassembledOperator) {
+			t.Fatalf("hierarchy %v: err = %v, want ErrUnassembledOperator", hk, err)
+		}
+		if u != nil || res != nil {
+			t.Fatalf("hierarchy %v: got a result for a foreign operator", hk)
+		}
+	}
 }
